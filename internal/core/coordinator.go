@@ -148,10 +148,27 @@ type Config struct {
 // is unreachable (after calling MarkDead on the coordinator); the coordinator
 // then keeps its last known vector for that node and excludes it from the
 // estimate until the node rejoins.
+//
+// Lazy-sync pulls always go through RequestData one node at a time, because
+// each pull depends on the mean check before it. The full-sync gather does
+// too, unless the fabric also implements GatherComm.
 type NodeComm interface {
 	RequestData(nodeID int) []float64
 	SendSync(nodeID int, m *Sync)
 	SendSlack(nodeID int, m *Slack)
+}
+
+// GatherComm is an optional NodeComm extension for fabrics that can run the
+// full-sync gather as one round: every DataRequest goes out before any
+// response is awaited. RequestDataAll fills out[k] with node ids[k]'s vector;
+// ids are ascending, and out has len(ids) slots that arrive nil. out[k] stays
+// nil when the fabric lost node ids[k], in which case it has already called
+// MarkDead for it.
+// The messages are exactly those of one RequestData per id, and the machine
+// sees the same vectors in the same order, so outcomes do not depend on
+// which of the two a fabric provides.
+type GatherComm interface {
+	RequestDataAll(ids []int, out [][]float64)
 }
 
 // CoordStats is a point-in-time snapshot of the coordinator's protocol
@@ -328,7 +345,10 @@ func NewCoordinator(f *Function, n int, cfg Config, comm NodeComm) *Coordinator 
 		lastX:      make([][]float64, n),
 		slacks:     make([][]float64, n),
 		matrixSent: make([]bool, n),
+		ids:        make([]int, 0, n),
+		out:        make([][]float64, n),
 	}
+	o.gather, _ = comm.(GatherComm)
 	for i := 0; i < n; i++ {
 		o.lastX[i] = make([]float64, f.Dim())
 		o.slacks[i] = make([]float64, f.Dim())
@@ -341,8 +361,9 @@ func NewCoordinator(f *Function, n int, cfg Config, comm NodeComm) *Coordinator 
 // flatOwner is the single-tier Ownership: all node vectors and slack live in
 // one process, and every fabric interaction goes straight through NodeComm.
 type flatOwner struct {
-	m    *Machine
-	comm NodeComm
+	m      *Machine
+	comm   NodeComm
+	gather GatherComm // comm's one-round gather, nil if it has none
 
 	lastX  [][]float64
 	slacks [][]float64
@@ -350,6 +371,11 @@ type flatOwner struct {
 	// been delivered. It is cleared when a node dies or rejoins: the node may
 	// have restarted as a fresh process that never saw the matrix.
 	matrixSent []bool
+
+	// ids and out are Collect's scratch, reused across full syncs: the
+	// nodes to pull and the vectors the fabric returned for them.
+	ids []int
+	out [][]float64
 }
 
 // Store implements Ownership.
@@ -381,16 +407,32 @@ func (o *flatOwner) Rebalance(set []int, mean []float64) {
 }
 
 // Collect implements Ownership: the full-sync gather over the flat node set.
-// A nil RequestData response means the fabric just lost that node (and
-// marked it dead); the stale vector is kept and the live set below reflects
-// the death.
+// It pulls every live node not marked fresh, in ascending id order: in one
+// round when the fabric is a GatherComm, else one RequestData at a time. A
+// nil response means the fabric just lost that node (and marked it dead);
+// the stale vector is kept and the live set below reflects the death.
 func (o *flatOwner) Collect(fresh map[int]bool, accs []linalg.Acc) int {
+	ids := o.ids[:0]
 	for i := 0; i < o.m.N; i++ {
-		if fresh[i] || !o.m.Live(i) {
-			continue
+		if !fresh[i] && o.m.Live(i) {
+			ids = append(ids, i)
 		}
-		if x := o.comm.RequestData(i); x != nil {
-			copy(o.lastX[i], x)
+	}
+	o.ids = ids
+	if o.gather != nil {
+		out := o.out[:len(ids)]
+		o.gather.RequestDataAll(ids, out)
+		for k, id := range ids {
+			if out[k] != nil {
+				copy(o.lastX[id], out[k])
+				out[k] = nil
+			}
+		}
+	} else {
+		for _, id := range ids {
+			if x := o.comm.RequestData(id); x != nil {
+				copy(o.lastX[id], x)
+			}
 		}
 	}
 	weight := 0

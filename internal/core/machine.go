@@ -365,17 +365,10 @@ func (m *Machine) TryLazyAbsorb(v *Violation) bool {
 	return m.lazySync(v, map[int]bool{v.NodeID: true})
 }
 
-// Init pulls all local vectors and performs the first full sync. It must be
-// called once, after the nodes hold their initial vectors.
-func (m *Machine) Init() error {
-	for i := 0; i < m.N; i++ {
-		if !m.live[i] {
-			continue
-		}
-		m.own.Refresh(i)
-	}
-	return m.fullSync(nil)
-}
+// Init performs the first full sync, whose gather pulls every node's local
+// vector once. It must be called once, after the nodes hold their initial
+// vectors.
+func (m *Machine) Init() error { return m.fullSync(nil) }
 
 // Resync forces a full synchronization: fresh data pull, new reference
 // point, thresholds, and safe zones. Applications use it to re-engage

@@ -53,21 +53,15 @@ func driveElide(t *testing.T, elide bool) (est float64, stats core.CoordStats, e
 		}
 	}
 	upd(0, []float64{3, 3, 1, 1}) // spike: must violate and resync
+	// Update returns once node 0's own constraints hold, not once node 1
+	// has the spike's sync; settle only after the resync has landed, or
+	// node 1's updates race its arrival and the two arms diverge.
+	waitQuiesce(coord, nodes)
 	for step := 1; step <= 5; step++ {
 		upd(1, []float64{0.6, 0.6, 1, 1})
 	}
 	// Wait for async resolution traffic to quiesce before reading state.
-	stable, last := 0, int64(-1)
-	for stable < 5 {
-		time.Sleep(10 * time.Millisecond)
-		cur := coord.Stats.MessagesSent.Load() + coord.Stats.MessagesReceived.Load()
-		if cur == last {
-			stable++
-		} else {
-			stable = 0
-		}
-		last = cur
-	}
+	waitQuiesce(coord, nodes)
 	if err := coord.Err(); err != nil {
 		t.Fatal(err)
 	}

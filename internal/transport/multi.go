@@ -192,7 +192,7 @@ func (mc *MultiCoordinator) addGroup(gid GroupID, f *core.Function, n int, cfg c
 	}
 	c.tracer = mc.opts.Tracer
 	c.deadlineHits = counterOr(mc.opts.Metrics, "automon_transport_request_timeouts_total"+lbl,
-		"Data-request round trips that exceeded RequestTimeout (node recycled).")
+		"Data requests still unanswered at their gather round's RequestTimeout deadline (node recycled).")
 	c.shedViolations = counterOr(mc.opts.Metrics, "automon_transport_shed_violations_total"+lbl,
 		"Violation reports dropped because a resolution storm filled the queue.")
 

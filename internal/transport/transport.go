@@ -226,6 +226,10 @@ func (s *TrafficStats) countRecvBatch(msgs []core.Message, sizes []int, total in
 type Options struct {
 	// Latency is the injected one-way delay per frame (0 = none). Batching
 	// pays it once per frame, which is exactly the saving a real WAN gives.
+	// The delay is slept in the sender's write path, so one endpoint's sends
+	// serialize: a full-sync gather to n nodes still pays n one-way delays
+	// before its last request leaves. A delay line behind Options.Dial
+	// delays frames in flight instead and is the faithful WAN model.
 	Latency time.Duration
 	// DialTimeout bounds node connection attempts (default 5s).
 	DialTimeout time.Duration
@@ -233,8 +237,10 @@ type Options struct {
 	// that cannot complete within it fails the connection, which the
 	// fault-tolerance layer treats as a disconnect.
 	WriteTimeout time.Duration
-	// RequestTimeout bounds a coordinator data-request round trip (default
-	// 30s). On expiry the node is marked dead and its connection recycled.
+	// RequestTimeout bounds one coordinator gather round (default 30s): a
+	// lazy-sync pull, or a full sync's whole gather, whose data requests all
+	// go out at once and share this one deadline. Every node still silent
+	// when it expires is marked dead and its connection recycled.
 	RequestTimeout time.Duration
 	// RegisterTimeout bounds reading the first (registration or rejoin)
 	// frame of a new connection (default 10s).
@@ -335,7 +341,7 @@ type Coordinator struct {
 	// with registration reads accounted on MultiCoordinator.Stats.
 	Stats TrafficStats
 
-	deadlineHits   *obs.Counter // data-request round trips that timed out
+	deadlineHits   *obs.Counter // data requests that missed their gather deadline
 	shedViolations *obs.Counter // violation reports dropped on a full queue
 	tracer         *obs.Tracer
 
@@ -366,6 +372,18 @@ type coordConn struct {
 }
 
 func (cc *coordConn) markGone() { cc.goneOnce.Do(func() { close(cc.gone) }) }
+
+// drainData drops stale or duplicated data responses, so the next arrival
+// answers the request about to be sent.
+func (cc *coordConn) drainData() {
+	for {
+		select {
+		case <-cc.dataCh:
+		default:
+			return
+		}
+	}
+}
 
 func (cc *coordConn) isGone() bool {
 	select {
@@ -708,7 +726,7 @@ func (c *Coordinator) route(cc *coordConn, m core.Message) {
 	switch msg := m.(type) {
 	case *core.DataResponse:
 		// Never block the reader; duplicates beyond the buffer are
-		// dropped (RequestData drains stale entries before each request).
+		// dropped (each request drains stale entries before it is sent).
 		select {
 		case cc.dataCh <- msg:
 		default:
@@ -732,12 +750,16 @@ func (c *Coordinator) route(cc *coordConn, m core.Message) {
 	}
 }
 
-// socketComm implements core.NodeComm over the registered connections. It is
-// only invoked while c.mu is held (Init, HandleViolation, HandleDeparture,
-// HandleRejoin), so the request/response pairing is race-free and calling
+// socketComm implements core.NodeComm and core.GatherComm over the
+// registered connections. It is only invoked while c.mu is held (Init,
+// HandleViolation, HandleDeparture, HandleRejoin), so the request/response
+// pairing is race-free, the scratch slices are never shared, and calling
 // MarkDead on the core coordinator is safe.
 type socketComm struct {
 	c *Coordinator
+
+	conns []*coordConn // RequestDataAll's per-target connections
+	lost  []int        // RequestDataAll's losses, ascending
 }
 
 // lookup fetches the current connection for a node, or nil if it is gone.
@@ -758,47 +780,83 @@ func (s *socketComm) noteDead(id int) {
 	}
 }
 
+// RequestData is a gather of one node: the lazy-sync pull.
 func (s *socketComm) RequestData(id int) []float64 {
-	cc := s.lookup(id)
-	if cc == nil {
-		s.noteDead(id)
-		return nil
-	}
-	// Requests are strictly sequenced (the caller holds c.mu); drain any
-	// stale or duplicated response so the next arrival answers this request.
-	for {
-		select {
-		case <-cc.dataCh:
-			continue
-		default:
+	var x [1][]float64
+	s.RequestDataAll([]int{id}, x[:])
+	return x[0]
+}
+
+// RequestDataAll runs a gather as one round: it sends every DataRequest,
+// then awaits all the responses under a single RequestTimeout deadline. A
+// node whose connection is gone, whose request cannot be written, or that
+// misses the deadline is lost: its connection is recycled (a node that
+// cannot answer a data request is useless even if its TCP connection looks
+// healthy, so it must notice, reconnect and rejoin with fresh state), and
+// after the round the losses are marked dead in ascending id order, so
+// death and trace order do not depend on response arrival order.
+func (s *socketComm) RequestDataAll(ids []int, out [][]float64) {
+	conns := s.conns[:0]
+	for _, id := range ids {
+		cc := s.lookup(id)
+		if cc != nil {
+			cc.drainData()
+			// Urgent: the round trip blocks the resolution, so the request
+			// (and any syncs buffered before it — order is preserved) must
+			// leave now.
+			if err := cc.w.writeMsg(&core.DataRequest{NodeID: id}, true); err != nil {
+				cc.conn.Close()
+				cc = nil
+			}
 		}
-		break
+		conns = append(conns, cc)
 	}
-	// Urgent: the round trip blocks the resolution, so the request (and any
-	// syncs buffered before it — order is preserved) must leave now.
-	if err := cc.w.writeMsg(&core.DataRequest{NodeID: id}, true); err != nil {
-		cc.conn.Close()
-		s.noteDead(id)
-		return nil
+	s.conns = conns
+
+	timeout := s.c.opts.RequestTimeout
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	expired := false
+	lost := s.lost[:0]
+wait:
+	for k, cc := range conns {
+		if cc == nil {
+			lost = append(lost, ids[k])
+			continue
+		}
+		if !expired {
+			select {
+			case resp := <-cc.dataCh:
+				out[k] = resp.X
+				continue
+			case <-cc.gone:
+				lost = append(lost, ids[k])
+				continue
+			case <-s.c.done:
+				// Shutting down: leave the rest unanswered, not dead.
+				break wait
+			case <-deadline.C:
+				expired = true
+			}
+		}
+		// Past the deadline only an already-queued response counts.
+		select {
+		case resp := <-cc.dataCh:
+			out[k] = resp.X
+		case <-cc.gone:
+			lost = append(lost, ids[k])
+		default:
+			s.c.deadlineHits.Inc()
+			s.c.tracer.Record(obs.EventDeadlineHit, ids[k], timeout.Seconds(), "data-request")
+			cc.conn.Close()
+			lost = append(lost, ids[k])
+		}
 	}
-	select {
-	case resp := <-cc.dataCh:
-		return resp.X
-	case <-cc.gone:
+	clear(conns) // drop references to recycled connections
+	for _, id := range lost {
 		s.noteDead(id)
-		return nil
-	case <-s.c.done:
-		return nil
-	case <-time.After(s.c.opts.RequestTimeout):
-		// A node that cannot answer a data request is useless even if its
-		// TCP connection looks healthy: recycle the connection so the node
-		// notices, reconnects, and rejoins with fresh state.
-		s.c.deadlineHits.Inc()
-		s.c.tracer.Record(obs.EventDeadlineHit, id, s.c.opts.RequestTimeout.Seconds(), "data-request")
-		cc.conn.Close()
-		s.noteDead(id)
-		return nil
 	}
+	s.lost = lost
 }
 
 func (s *socketComm) SendSync(id int, m *core.Sync) {
